@@ -1,6 +1,5 @@
 #include "exp/sweep.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <thread>
@@ -29,17 +28,19 @@ SweepStats run_trials(std::size_t n,
   total_gauge.set(static_cast<double>(n));
   done_gauge.set(0.0);
 
-  std::atomic<std::size_t> done{0};
+  std::size_t done = 0;
   std::mutex progress_mutex;
   const auto instrumented = [&](std::size_t i) {
     trial(i);
-    const std::size_t d = done.fetch_add(1, std::memory_order_acq_rel) + 1;
     trials_counter.inc();
-    done_gauge.set(static_cast<double>(d));
+    // Count, publish and report under one lock, so callbacks arrive in
+    // count order (the last one reports n/n) and the user callback need
+    // not be thread-safe.
+    const std::lock_guard<std::mutex> lock(progress_mutex);
+    ++done;
+    done_gauge.set(static_cast<double>(done));
     if (options.on_progress) {
-      // Serialize the user callback so it need not be thread-safe.
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      options.on_progress(d, n);
+      options.on_progress(done, n);
     }
   };
 

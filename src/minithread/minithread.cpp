@@ -39,8 +39,11 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::run_job(Job& job) {
+bool ThreadPool::run_job(Job& job) {
   // Chunk-grabbing loop shared by workers and the submitting thread.
+  // Read before finishing: once the last participant has counted itself
+  // the submitter may return and destroy `job`.
+  const unsigned participants = job.participants;
   for (;;) {
     if (job.failed.load(std::memory_order_acquire)) {
       break;
@@ -60,7 +63,8 @@ void ThreadPool::run_job(Job& job) {
       }
     }
   }
-  job.finished.fetch_add(1, std::memory_order_acq_rel);
+  return job.finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+         participants;
 }
 
 void ThreadPool::worker_loop() {
@@ -79,8 +83,16 @@ void ThreadPool::worker_loop() {
       job = current_job_;
       last_serial = job_serial_;
     }
-    run_job(*job);
-    job_done_.notify_all();
+    if (run_job(*job)) {
+      // Completion handshake: the last participant notifies under
+      // mutex_.  The submitter checks `finished` under mutex_ and then
+      // blocks; a notify sent without the lock can fall between the two
+      // and be lost, leaving parallel_for asleep forever.  Holding
+      // mutex_ means the submitter is either before its check (and will
+      // see the final count) or already blocked (and gets the notify).
+      const std::lock_guard<std::mutex> lock(mutex_);
+      job_done_.notify_all();
+    }
   }
 }
 

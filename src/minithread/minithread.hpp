@@ -66,7 +66,9 @@ class ThreadPool {
  private:
   struct Job;
   void worker_loop();
-  void run_job(Job& job);
+  /// Run chunks of `job` until none are left; true iff this call was the
+  /// last participant to finish.
+  bool run_job(Job& job);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

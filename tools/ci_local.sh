@@ -78,8 +78,9 @@ if [[ " ${presets[*]} " == *" asan "* ]]; then
     ctest --preset obs-asan -j "${jobs}"
 fi
 
-# --- perf-labelled gates (timing sensitive: no -j) ------------------------
+# --- stress- and perf-labelled gates (run alone: no -j) -------------------
 if [[ " ${presets[*]} " == *" default "* ]]; then
+  run_step "stress gate (ctest --preset stress)" ctest --preset stress
   run_step "perf gate (ctest --preset perf)" ctest --preset perf
 fi
 

@@ -341,8 +341,14 @@ def main():
             run_soak(proc, port, soak_scrapers, soak_seconds, soak_p99_ms)
             proc.terminate()
             proc.wait(timeout=30)
-        elif proc.wait(timeout=30) != 0:
-            fail(proc, f"cluster_sim exited {proc.returncode}")
+        else:
+            try:
+                proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                fail(proc, "cluster_sim did not exit within 30 s after "
+                           "the checks passed (hung run loop?)")
+            if proc.returncode != 0:
+                fail(proc, f"cluster_sim exited {proc.returncode}")
         print("PASS")
     finally:
         proc.terminate()
